@@ -1,7 +1,9 @@
 // Package repro's benchmark harness regenerates every figure of the
-// paper's evaluation (one benchmark per figure) plus the ablations from
-// DESIGN.md. Each benchmark runs the corresponding experiment sweep and
-// logs the regenerated rows; -v shows them.
+// paper's evaluation (one benchmark per figure) plus ablations of the
+// decoupling strategy's three design choices: stream element granularity
+// (1), decoupled group size alpha (2) and first-come-first-served stream
+// consumption (3). Each benchmark runs the corresponding experiment sweep
+// and logs the regenerated rows; -v shows them.
 //
 // The sweeps default to 256 processes so `go test -bench=.` stays
 // affordable; set REPRO_MAX_PROCS (e.g. 8192 for the paper's full scale)
@@ -99,7 +101,7 @@ func BenchmarkFig3Schedules(b *testing.B) {
 }
 
 // BenchmarkAblationGranularity sweeps the stream element size S (Eq. 4's
-// pipelining-versus-overhead trade-off, DESIGN.md design choice 1).
+// pipelining-versus-overhead trade-off, design choice 1).
 func BenchmarkAblationGranularity(b *testing.B) { runFigure(b, "ablation-granularity") }
 
 // BenchmarkAblationAlpha sweeps the decoupled group fraction on MapReduce

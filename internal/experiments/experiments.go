@@ -1,5 +1,7 @@
 // Package experiments regenerates every figure of the paper's evaluation
-// (Section IV) plus the ablations called out in DESIGN.md. Each experiment
+// (Section IV) plus ablations of the decoupling strategy's three design
+// choices: stream element granularity (1), decoupled group size alpha (2)
+// and first-come-first-served stream consumption (3). Each experiment
 // returns tabular rows shared by the CLI (cmd/decouplebench) and the
 // benchmark harness (bench_test.go).
 package experiments
@@ -317,13 +319,13 @@ var Registry = map[string]func(Options) ([]Row, error){
 // Descriptions gives every registered experiment a one-line summary,
 // for the CLI's -list output. Keep in sync with Registry.
 var Descriptions = map[string]string{
-	"fig5":                 "weak-scaling makespan of the three particle-I/O variants (paper Fig. 5)",
-	"fig6":                 "communication-kernel scaling without I/O (paper Fig. 6)",
-	"fig7":                 "CG and MapReduce proxy-app scaling (paper Fig. 7)",
+	"fig5":                 "MapReduce weak scaling: reference vs decoupled at three alpha values (paper Fig. 5)",
+	"fig6":                 "CG weak scaling: blocking and non-blocking vs decoupled halo exchange (paper Fig. 6)",
+	"fig7":                 "iPIC3D particle-communication weak scaling: reference vs decoupled (paper Fig. 7)",
 	"fig8":                 "iPIC3D particle-I/O makespan at scale (paper Fig. 8)",
 	"ablation-granularity": "write-granularity sweep for the decoupled I/O group",
 	"ablation-alpha":       "I/O-group size (alpha) sweep for the decoupled variant",
-	"ablation-fcfs":        "bank arbitration policy ablation (FCFS vs fair vs priority)",
+	"ablation-fcfs":        "first-come-first-served vs fixed-order stream consumption with a straggling producer",
 	"cosched":              "co-scheduled multi-job contention on a shared bank",
 	"model":                "analytic cost-model validation against simulated makespans",
 	"recovery":             "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)",

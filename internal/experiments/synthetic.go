@@ -204,7 +204,7 @@ func noiseOrNone(n netmodel.Noise) netmodel.Noise {
 
 // AblationGranularity sweeps the stream element size S on the synthetic
 // application, exposing Eq. 4's pipelining-versus-overhead trade-off
-// (design choice 1 in DESIGN.md). Param carries S in bytes.
+// (design choice 1). Param carries S in bytes.
 func AblationGranularity(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
 	procs := 64

@@ -31,6 +31,13 @@ import "sort"
 // Bucket queues use head indices instead of slice deletions, and the
 // arrival list uses lazy deletion (consumed flags) with periodic
 // compaction, so steady-state matching allocates nothing.
+//
+// The posted and queued maps hold only buckets with live entries. A
+// bucket that drains is deleted from its map and parked on a free list,
+// keeping its backing array, for the next key that needs one. Every
+// collective mints a fresh tag, so keeping drained buckets would grow the
+// maps with run history; retiring them sizes a rank's matching state by
+// its live traffic instead.
 
 // matchKey identifies a matching bucket: communicator context plus source
 // and tag selectors. Posted receives use their selector values verbatim
@@ -150,7 +157,9 @@ type matchIndex struct {
 	// built, gating the extra pushes in addUnexpected.
 	sideShapes [4]bool
 
-	queued map[matchKey]*msgFIFO // concrete (comm, src, tag) buckets
+	// queued holds concrete (comm, src, tag) buckets, each with at least
+	// one live message.
+	queued map[matchKey]*msgFIFO
 	// side holds wildcard-selector views of the unexpected queue — keys
 	// are (comm, AnySource, tag), (comm, src, AnyTag) or (comm,
 	// AnySource, AnyTag) — in arrival order. Each is built on first use
@@ -165,34 +174,40 @@ type matchIndex struct {
 
 	// One-entry caches in front of the bucket maps: steady-state traffic
 	// reuses one selector per rank (a consumer reposting the same
-	// receive, a neighbour exchange on one tag), and buckets are never
-	// removed from the maps, so cached pointers stay valid.
+	// receive, a neighbour exchange on one tag). A cached pointer is
+	// always a bucket still in its map, or a wildcard side-list, which is
+	// never retired: retiring a bucket clears the cache that points at it.
 	lastPostKey matchKey
 	lastPostQ   *recvFIFO
 	lastSelKey  matchKey
 	lastSelQ    *msgFIFO
+
+	// Retired, empty buckets awaiting reuse.
+	freeRecv []*recvFIFO
+	freeMsg  []*msgFIFO
 }
 
 // reset returns the index to its initial state for world reuse, keeping
-// bucket-map and queue capacity. Entries still referenced (receives posted
-// but never matched at the end of a run) are dropped for the GC; pooled
-// recycling only ever happens on the matched paths.
+// queue capacity on the free lists. Entries still referenced (receives
+// posted but never matched at the end of a run) are dropped for the GC;
+// pooled recycling only ever happens on the matched paths. The maps hold
+// only live buckets, so this costs O(live), not O(run history).
 func (x *matchIndex) reset() {
 	x.postSeq = 0
 	for _, q := range x.posted {
-		for i := range q.items {
-			q.items[i] = nil
-		}
+		clear(q.items)
 		q.items = q.items[:0]
 		q.head = 0
+		x.freeRecv = append(x.freeRecv, q)
 	}
+	clear(x.posted)
 	for _, q := range x.queued {
-		for i := range q.items {
-			q.items[i] = nil
-		}
+		clear(q.items)
 		q.items = q.items[:0]
 		q.head = 0
+		x.freeMsg = append(x.freeMsg, q)
 	}
+	clear(x.queued)
 	// Side lists are views rebuilt on demand; drop them wholesale.
 	x.side = nil
 	x.shapes = [4]int{}
@@ -244,7 +259,12 @@ func (x *matchIndex) post(p *postedRecv) {
 		}
 		q = x.posted[k]
 		if q == nil {
-			q = &recvFIFO{}
+			if n := len(x.freeRecv); n > 0 {
+				q = x.freeRecv[n-1]
+				x.freeRecv = x.freeRecv[:n-1]
+			} else {
+				q = &recvFIFO{}
+			}
 			x.posted[k] = q
 		}
 		x.lastPostKey, x.lastPostQ = k, q
@@ -261,6 +281,7 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 		return nil
 	}
 	var best *recvFIFO
+	var bestKey matchKey
 	candidates := [4]matchKey{
 		{m.commID, m.src, m.tag},
 		{m.commID, AnySource, m.tag},
@@ -275,10 +296,8 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 		if q == nil || k != x.lastPostKey {
 			q = x.posted[k]
 		}
-		if q != nil && !q.empty() {
-			if best == nil || q.peek().seq < best.peek().seq {
-				best = q
-			}
+		if q != nil && !q.empty() && (best == nil || q.peek().seq < best.peek().seq) {
+			best, bestKey = q, k
 		}
 	}
 	if best == nil {
@@ -286,6 +305,14 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 	}
 	p := best.pop()
 	x.shapes[shapeOf(p.src, p.tag)]--
+	// Retire the drained bucket, and the post cache with it.
+	if best.empty() {
+		delete(x.posted, bestKey)
+		if x.lastPostQ == best {
+			x.lastPostQ = nil
+		}
+		x.freeRecv = append(x.freeRecv, best)
+	}
 	return p
 }
 
@@ -297,7 +324,12 @@ func (x *matchIndex) addUnexpected(m *message) {
 	k := m.key()
 	q := x.queued[k]
 	if q == nil {
-		q = &msgFIFO{}
+		if n := len(x.freeMsg); n > 0 {
+			q = x.freeMsg[n-1]
+			x.freeMsg = x.freeMsg[:n-1]
+		} else {
+			q = &msgFIFO{}
+		}
 		x.queued[k] = q
 	}
 	q.push(m)
@@ -429,7 +461,9 @@ func (x *matchIndex) firstReadyIn(q *msgFIFO, now simTimeT) *message {
 // selector matches in commID's context, or nil: the earliest-arrived
 // fully-received message if one exists (so a receive always takes the
 // message a Probe just reported), else the earliest-arrived in-flight
-// message, which the caller completes at its readiness instant.
+// message, which the caller completes at its readiness instant. The
+// message's concrete bucket is retired once it holds no live message,
+// whether the selector read it directly or through a wildcard side-list.
 func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) *message {
 	if x.live == 0 {
 		return nil
@@ -449,6 +483,17 @@ func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) *message {
 		q.popHead()
 	}
 	x.consume(m)
+	k := m.key()
+	if wildcard(src, tag) {
+		q = x.queued[k]
+	}
+	if q.first() == nil {
+		delete(x.queued, k)
+		if x.lastSelQ == q {
+			x.lastSelQ = nil
+		}
+		x.freeMsg = append(x.freeMsg, q)
+	}
 	return m
 }
 

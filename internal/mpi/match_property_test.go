@@ -72,6 +72,57 @@ func (rm *refMatcher) takeQueued(commID, src, tag int, now sim.Time) *message {
 	return m
 }
 
+// checkMatchState verifies the index's structural invariants: the bucket
+// maps hold only buckets with live entries, the one-entry caches point at
+// buckets still in their maps (or at wildcard side-lists), and retired
+// buckets on the free lists are empty and in no map.
+func checkMatchState(t *testing.T, op int, x *matchIndex) {
+	t.Helper()
+	inMap := make(map[any]bool)
+	for k, q := range x.posted {
+		if q.empty() {
+			t.Fatalf("op %d: posted bucket %+v is empty but still mapped", op, k)
+		}
+		inMap[q] = true
+	}
+	for k, q := range x.queued {
+		live := false
+		for _, m := range q.items[q.head:] {
+			if m != nil && !m.consumed {
+				live = true
+				break
+			}
+		}
+		if !live {
+			t.Fatalf("op %d: queued bucket %+v holds no live message but is still mapped", op, k)
+		}
+		inMap[q] = true
+	}
+	if q := x.lastPostQ; q != nil && x.posted[x.lastPostKey] != q {
+		t.Fatalf("op %d: posted cache for %+v points at a retired bucket", op, x.lastPostKey)
+	}
+	if q := x.lastSelQ; q != nil {
+		k := x.lastSelKey
+		if wildcard(k.src, k.tag) {
+			if x.side[k] != q {
+				t.Fatalf("op %d: selector cache for %+v is not its side-list", op, k)
+			}
+		} else if x.queued[k] != q {
+			t.Fatalf("op %d: selector cache for %+v points at a retired bucket", op, k)
+		}
+	}
+	for _, q := range x.freeRecv {
+		if len(q.items) != 0 || q.head != 0 || inMap[q] {
+			t.Fatalf("op %d: free posted bucket is non-empty or still mapped", op)
+		}
+	}
+	for _, q := range x.freeMsg {
+		if len(q.items) != 0 || q.head != 0 || inMap[q] {
+			t.Fatalf("op %d: free queued bucket is non-empty or still mapped", op)
+		}
+	}
+}
+
 // matchProgram drives both matchers through one operation stream. next
 // yields pseudo-random bytes (from a seeded rand or the fuzz corpus).
 func matchProgram(t *testing.T, next func() byte, ops int) {
@@ -142,6 +193,7 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 			idx.addUnexpected(m)
 			ref.addUnexpected(rc)
 		}
+		checkMatchState(t, op, &idx)
 	}
 	post := func(op int) {
 		commID, src, tag := pick(2), srcSel(), tagSel()
@@ -155,6 +207,7 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 			if gm.readyAt != wm.readyAt || gm.src != wm.src || gm.tag != wm.tag {
 				t.Fatalf("op %d: matched msg %d disagrees on fields", op, msgID[gm])
 			}
+			checkMatchState(t, op, &idx)
 			return
 		}
 		p := &postedRecv{commID: commID, src: src, tag: tag}
@@ -164,6 +217,7 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 		recvID[rp] = nextID
 		idx.post(p)
 		ref.post(rp)
+		checkMatchState(t, op, &idx)
 	}
 
 	for op := 0; op < ops; op++ {
@@ -207,6 +261,7 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 				t.Fatalf("op %d: probe-any (comm=%d src=%d tag=%d) saw msg %d, reference says %d",
 					op, commID, src, tag, id(gm, nil), id(wm, nil))
 			}
+			checkMatchState(t, op, &idx)
 		}
 	}
 }
@@ -234,6 +289,21 @@ func FuzzMatchIndex(f *testing.F) {
 	f.Add([]byte{5, 1, 0, 0, 3, 1, 1, 2, 0, 2, 1, 0, 3, 2, 5, 2, 3, 3, 3, 1, 1, 0, 0, 2})
 	f.Add([]byte{5, 2, 1, 3, 0, 0, 3, 1, 3, 0, 5, 0, 0, 1, 1, 2, 2, 0, 1, 0, 0, 3, 3, 5})
 	f.Add([]byte{5, 0, 3, 3, 0, 5, 1, 1, 2, 0, 0, 5, 2, 3, 0, 1, 5, 3, 2, 2, 1, 1, 0, 0})
+	// A message consumed through a wildcard side-list, then a concrete
+	// receive on its key (op 1 delivers comm 0, src 1, tag 2; op 3 posts
+	// the wildcard (0, AnySource, 2) or the concrete (0, 1, 2) receive):
+	// the wildcard takes the bucket head, the concrete receive drains and
+	// retires the bucket, and a later message on the key reuses it.
+	f.Add([]byte{1, 0, 1, 2, 1, 0, 1, 0, 1, 2, 1, 0, 3, 0, 3, 2, 2, 3, 0, 1, 1, 2, 2, 1, 0, 1, 2, 1, 0, 3, 0, 1, 1, 2, 2})
+	// The wildcard drains the bucket outright; the concrete receive then
+	// finds nothing, posts, and is matched by the next message, which is
+	// also pushed onto the now-built side-list.
+	f.Add([]byte{1, 0, 1, 2, 1, 0, 3, 0, 3, 2, 2, 3, 0, 1, 1, 2, 2, 1, 0, 1, 2, 1, 0, 1, 0, 1, 2, 1, 0, 3, 0, 1, 1, 2, 2, 3, 0, 3, 2, 2})
+	// An in-flight message followed by a ready self-send on the same key:
+	// the wildcard takes the self-send behind the live head, leaving a
+	// consumed entry mid-bucket, and the concrete receive after time
+	// passes takes the head and retires the bucket.
+	f.Add([]byte{1, 0, 1, 2, 1, 5, 1, 0, 1, 2, 0, 3, 0, 3, 2, 2, 0, 8, 3, 0, 1, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {
 			return

@@ -258,6 +258,11 @@ type World struct {
 	files  map[string]*File
 	fs     *sim.Bank
 	stash  map[string]interface{}
+	// names caches the rank process labels built for the world name
+	// namesFor. A pooled world keeps them across runs, so spawning its
+	// ranks formats no names.
+	names    []string
+	namesFor string
 	// external marks a world attached to a shared engine or bank: its
 	// lifecycle belongs to the owning cluster, so Release never returns it
 	// to the process-wide pool.
@@ -830,6 +835,16 @@ func (w *World) buildRanks() {
 		members[i] = i
 	}
 	w.world = newComm(w, members, identityIndex(cfg.Procs))
+	if w.namesFor != cfg.Name {
+		w.names, w.namesFor = w.names[:0], cfg.Name
+	}
+	for i := len(w.names); i < cfg.Procs; i++ {
+		if cfg.Name != "" {
+			w.names = append(w.names, fmt.Sprintf("%s/rank%d", cfg.Name, i))
+		} else {
+			w.names = append(w.names, fmt.Sprintf("rank%d", i))
+		}
+	}
 }
 
 // reset reinitializes a recycled world for cfg, retaining engine, ranks,
@@ -947,13 +962,9 @@ func (w *World) MessagesSent() int64 {
 }
 
 // rankName labels a rank's process for deadlock reports and traces,
-// prefixed with the world name in multi-world runs ("jobA/rank3").
-func (w *World) rankName(rank int) string {
-	if w.cfg.Name != "" {
-		return fmt.Sprintf("%s/rank%d", w.cfg.Name, rank)
-	}
-	return fmt.Sprintf("rank%d", rank)
-}
+// prefixed with the world name in multi-world runs ("jobA/rank3"). The
+// labels are built once per world by buildRanks.
+func (w *World) rankName(rank int) string { return w.names[rank] }
 
 // Start spawns one process per rank executing main without running the
 // engine. Worlds sharing an engine are all started first, then the owner
